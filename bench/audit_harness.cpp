@@ -9,14 +9,18 @@
  *
  * Usage:
  *   audit_harness [--workload hotspot|traffic] [--seed N] [--nodes N]
- *                 [--faulty] [--verbose]
+ *                 [--faulty] [--expect-hash=HEX] [--verbose]
  *
- * Exit status: 0 when the two runs are bit-identical and conserved,
- * 1 on divergence or a conservation failure, 2 on usage error.
+ * `--expect-hash` pins the trace hash to a recorded value, so a change
+ * to the event schedule fails even when both runs agree with each other.
  *
- * Wired into ctest (audit_hotspot / audit_traffic / audit_faulty) so the
- * determinism property is enforced on every test run, not just when a
- * developer remembers to check.
+ * Exit status: 0 when the two runs are bit-identical, conserved and (if
+ * requested) match the expected hash; 1 on divergence, a conservation
+ * failure or a hash mismatch; 2 on usage error.
+ *
+ * Wired into ctest (audit_hotspot / audit_traffic / audit_faulty, each
+ * with its pinned hash) so the determinism property is enforced on every
+ * test run, not just when a developer remembers to check.
  */
 
 #include <cstdint>
@@ -98,6 +102,8 @@ main(int argc, char **argv)
     int nodes = 4;
     bool faulty = false;
     bool verbose = false;
+    bool pinned = false;
+    std::uint64_t expect_hash = 0;
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -118,9 +124,21 @@ main(int argc, char **argv)
             faulty = true;
         else if (arg == "--verbose")
             verbose = true;
-        else {
+        else if (arg.rfind("--expect-hash=", 0) == 0) {
+            const std::string hex = arg.substr(14);
+            if (hex.empty() || hex.size() > 16 ||
+                hex.find_first_not_of("0123456789abcdefABCDEF") !=
+                    std::string::npos) {
+                std::cerr << "audit_harness: bad --expect-hash '" << hex
+                          << "'\n";
+                return 2;
+            }
+            expect_hash = std::stoull(hex, nullptr, 16);
+            pinned = true;
+        } else {
             std::cerr << "usage: audit_harness [--workload hotspot|traffic] "
-                         "[--seed N] [--nodes N] [--faulty] [--verbose]\n";
+                         "[--seed N] [--nodes N] [--faulty] "
+                         "[--expect-hash=HEX] [--verbose]\n";
             return 2;
         }
     }
@@ -150,6 +168,13 @@ main(int argc, char **argv)
     if (!a.conserved || !b.conserved) {
         std::cerr << "audit_harness: CONSERVATION FAILURE: "
                   << (a.conserved ? b.why : a.why) << "\n";
+        ok = false;
+    }
+    if (pinned && a.hash != expect_hash) {
+        std::cerr << "audit_harness: HASH MISMATCH: workload=" << workload
+                  << " seed=" << seed << " hash=" << std::hex << a.hash
+                  << " expected=" << expect_hash << std::dec
+                  << " (the event schedule changed)\n";
         ok = false;
     }
     if (a.mixed == 0) {

@@ -348,6 +348,22 @@ BM_PacketPathFatTree(benchmark::State &state)
 }
 BENCHMARK(BM_PacketPathFatTree);
 
+void
+BM_PacketPathFatTreeFaulty(benchmark::State &state)
+{
+    // The reliable link path (per-hop CRC, go-back-N retransmission,
+    // duplicate discard) at the error rates of the e2e fabric_faulty
+    // workload; no down-windows, so every packet still drains.
+    ClusterSpec spec = ClusterSpec::fatTree(256, 4, 8); // 64 leaves
+    spec.tune([](Config &c) {
+        c.fault.bitErrorRate = 1e-3;
+        c.fault.dropRate = 1e-3;
+        c.fault.duplicateRate = 1e-3;
+    });
+    runPacketPath(state, spec, 50);
+}
+BENCHMARK(BM_PacketPathFatTreeFaulty);
+
 // ---------------------------------------------------------------------
 // Sharded PDES fabric scaling (DESIGN.md section 13.4)
 //

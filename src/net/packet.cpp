@@ -5,6 +5,7 @@
 
 #include "net/packet.hpp"
 
+#include <array>
 #include <cstdio>
 
 namespace tg::net {
@@ -39,22 +40,36 @@ packetTypeName(PacketType t)
 
 namespace {
 
-/** CRC-32C (Castagnoli), bitwise; the per-word cost is irrelevant next to
- *  event-queue work and the simulated check itself is free. */
+/** Slicing-by-8 tables for the reflected CRC-32C polynomial: kCrcTables[0]
+ *  is the classic byte table, kCrcTables[k][b] advances kCrcTables[0][b]
+ *  through k further zero bytes. */
+constexpr std::array<std::array<std::uint32_t, 256>, 8> kCrcTables = [] {
+    std::array<std::array<std::uint32_t, 256>, 8> t{};
+    for (std::uint32_t b = 0; b < 256; ++b) {
+        std::uint32_t c = b;
+        for (int k = 0; k < 8; ++k)
+            c = (c >> 1) ^ ((c & 1) ? 0x82f63b78u : 0u);
+        t[0][b] = c;
+    }
+    for (std::size_t k = 1; k < 8; ++k)
+        for (std::size_t b = 0; b < 256; ++b)
+            t[k][b] = (t[k - 1][b] >> 8) ^ t[0][t[k - 1][b] & 0xff];
+    return t;
+}();
+
+} // namespace
+
 std::uint32_t
 crc32cWord(std::uint32_t crc, std::uint64_t word)
 {
-    for (int b = 0; b < 64; ++b) {
-        const std::uint32_t bit = (crc ^ static_cast<std::uint32_t>(word)) & 1;
-        crc >>= 1;
-        if (bit)
-            crc ^= 0x82f63b78u;
-        word >>= 1;
-    }
-    return crc;
+    // The word's eight little-endian bytes, first byte deepest in the
+    // table stack: one lookup per byte instead of one step per bit.
+    const std::uint64_t x = word ^ crc;
+    return kCrcTables[7][x & 0xff] ^ kCrcTables[6][(x >> 8) & 0xff] ^
+           kCrcTables[5][(x >> 16) & 0xff] ^ kCrcTables[4][(x >> 24) & 0xff] ^
+           kCrcTables[3][(x >> 32) & 0xff] ^ kCrcTables[2][(x >> 40) & 0xff] ^
+           kCrcTables[1][(x >> 48) & 0xff] ^ kCrcTables[0][x >> 56];
 }
-
-} // namespace
 
 std::uint32_t
 Packet::computeCrc() const

@@ -124,6 +124,14 @@ struct Packet
 /** Short mnemonic for a packet type. */
 const char *packetTypeName(PacketType t);
 
+/**
+ * Fold one 64-bit word, least significant bit first, into a running
+ * CRC-32C (Castagnoli, reflected polynomial 0x82f63b78).  Table-driven
+ * (slicing-by-8): the link layer runs it on every go-back-N transmission
+ * and arrival.
+ */
+std::uint32_t crc32cWord(std::uint32_t crc, std::uint64_t word);
+
 } // namespace tg::net
 
 #endif // TELEGRAPHOS_NET_PACKET_HPP

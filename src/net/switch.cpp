@@ -5,12 +5,17 @@
 
 #include "net/switch.hpp"
 
+#include <bit>
+#include <utility>
+
 namespace tg::net {
 
 Switch::Switch(System &sys, const std::string &name, std::size_t ports,
                std::size_t vcs)
     : SimObject(sys, name), _ports(ports), _vcs(vcs),
-      _arena(&sys.arena()), _busy(ports * vcs, false)
+      _arena(&sys.arena()), _busy(ports * vcs, false),
+      _maskWords((ports * vcs + 63) / 64),
+      _stalled(ports * vcs * _maskWords, 0)
 {
     if (vcs == 0)
         fatal("%s: need at least one VC", name.c_str());
@@ -22,9 +27,7 @@ Switch::Switch(System &sys, const std::string &name, std::size_t ports,
             _in.push_back(std::make_unique<BoundedQueue>(*_arena, cap));
             _out.push_back(std::make_unique<BoundedQueue>(*_arena, cap));
             _in.back()->onData([this, p, v] { pump(p, v); });
-            // An input may be stalled on a full output; wake everything
-            // when any output drains (inputs re-check their own head).
-            _out.back()->onSpace([this] { pumpAll(); });
+            _out.back()->onSpace([this, o = idx(p, v)] { wake(o); });
         }
     }
     _traceComp = sys.tracer().registerComponent(name);
@@ -68,6 +71,23 @@ Switch::pumpAll()
 }
 
 void
+Switch::wake(std::size_t out)
+{
+    // Same visiting order as pumpAll() restricted to the parked inputs,
+    // so the same input wins the freed slot and every schedule() call
+    // happens in the same order.  Each word is cleared before its inputs
+    // are pumped: one that fails again re-parks itself.
+    std::uint64_t *mask = &_stalled[out * _maskWords];
+    for (std::size_t w = 0; w < _maskWords; ++w) {
+        for (std::uint64_t bits = std::exchange(mask[w], 0); bits != 0;
+             bits &= bits - 1) {
+            const std::size_t in = w * 64 + std::size_t(std::countr_zero(bits));
+            pump(in / _vcs, in % _vcs);
+        }
+    }
+}
+
+void
 Switch::pump(std::size_t port, std::size_t vc)
 {
     BoundedQueue &in = *_in[idx(port, vc)];
@@ -89,9 +109,13 @@ Switch::pump(std::size_t port, std::size_t vc)
         panic("%s: VC map produced vc %u of %zu", _name.c_str(),
               unsigned(out_vc), _vcs);
 
-    BoundedQueue &oq = *_out[idx(out, out_vc)];
-    if (!oq.reserve())
-        return; // back-pressure: wait for the (VC-private) output buffer
+    const std::size_t o = idx(out, out_vc);
+    if (!_out[o]->reserve()) {
+        // Back-pressure: park on the (VC-private) output buffer.
+        const std::size_t i = idx(port, vc);
+        _stalled[o * _maskWords + i / 64] |= std::uint64_t(1) << (i % 64);
+        return;
+    }
 
     _busy[idx(port, vc)] = true;
     schedule(config().switchLatency, [this, port, vc, out, out_vc] {

@@ -15,6 +15,10 @@
  *    escape VC), and
  *  - reservation-based back-pressure between stages.
  *
+ * An input that fails to reserve its output is parked on that output's
+ * stalled-input mask; a drain of the output wakes exactly those inputs,
+ * in ascending (port, vc) order (DESIGN.md section 14.6).
+ *
  * In-order delivery per (source, destination) follows from deterministic
  * single-path routing plus FIFO queueing at every stage — a flow always
  * traverses the same VC sequence, so VCs never reorder it.  A property
@@ -84,9 +88,10 @@ class Switch : public SimObject
 
     /**
      * Atomically replace the whole routing table (one entry per node;
-     * SIZE_MAX = unrouted) and re-evaluate every stalled input.  The
-     * fabric rerouter swaps tables with this at routing-epoch flips so a
-     * switch never forwards under a half-updated table.
+     * SIZE_MAX = unrouted) and re-evaluate every stalled input (a flip
+     * can move a stalled head to a different output).  The fabric
+     * rerouter swaps tables with this at routing-epoch flips so a switch
+     * never forwards under a half-updated table.
      */
     void applyRoutes(std::vector<std::size_t> routes);
 
@@ -115,6 +120,8 @@ class Switch : public SimObject
 
     void pump(std::size_t port, std::size_t vc);
     void pumpAll();
+    /** Re-pump the inputs parked on output @p out, lowest index first. */
+    void wake(std::size_t out);
 
     std::size_t _ports;
     std::size_t _vcs;
@@ -122,6 +129,10 @@ class Switch : public SimObject
     std::vector<std::unique_ptr<BoundedQueue>> _in;
     std::vector<std::unique_ptr<BoundedQueue>> _out;
     std::vector<bool> _busy;
+    std::size_t _maskWords; ///< 64-bit words per output's stall mask
+    /** Stalled-input bitmask per output: _maskWords words per output,
+     *  bit idx(port, vc) set while that input waits for the output. */
+    std::vector<std::uint64_t> _stalled;
     std::vector<std::size_t> _routes; // indexed by NodeId
     VcMap _vcMap;
     RouteFn _routeFn;

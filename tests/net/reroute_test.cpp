@@ -28,6 +28,7 @@
 #include "net/reroute.hpp"
 #include "sim/random.hpp"
 #include "sim/system.hpp"
+#include "topology_print.hpp"
 
 namespace tg::net {
 namespace {

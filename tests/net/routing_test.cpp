@@ -18,6 +18,7 @@
 #include "net/network.hpp"
 #include "sim/random.hpp"
 #include "sim/system.hpp"
+#include "topology_print.hpp"
 
 namespace tg::net {
 namespace {

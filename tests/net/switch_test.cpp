@@ -1,8 +1,9 @@
 /**
  * @file
  * Unit tests of the shared-buffer switch: routing, forwarding latency,
- * head-of-line back-pressure, and per-(src,dst) in-order delivery —
- * the property the coherence protocol relies on (paper section 2.3.1).
+ * head-of-line back-pressure, targeted wake-ups of stalled inputs, and
+ * per-(src,dst) in-order delivery — the property the coherence protocol
+ * relies on (paper section 2.3.1).
  */
 
 #include <gtest/gtest.h>
@@ -105,6 +106,108 @@ TEST(Switch, PerSourceInOrderDelivery)
             seen[p.src] = p.value;
         }
     }
+}
+
+/** Switch whose every packet leaves on VC0 (so inputs on both VCs can
+ *  stall on one output), with one-packet buffers. */
+struct StallRig
+{
+    static Config
+    cfg()
+    {
+        Config c;
+        c.switchQueuePackets = 1;
+        return c;
+    }
+
+    System sys{cfg()};
+    Switch sw{sys, "sw", 4, 2};
+
+    StallRig()
+    {
+        for (NodeId n = 0; n < 4; ++n)
+            sw.setRoute(n, n);
+        sw.setVcMap([](const PacketHot &, std::size_t, std::size_t,
+                       std::uint8_t) { return std::uint8_t(0); });
+    }
+
+    /** Push a packet for @p dst into input (port, vc), tagged with the
+     *  input's index. */
+    void
+    inject(std::size_t port, std::size_t vc, NodeId dst)
+    {
+        sw.inQueue(port, vc).push(mkPkt(NodeId(port), dst, port * 2 + vc));
+        sys.events().run();
+    }
+
+    /** Free one slot of output (port, 0); returns the freed packet's tag. */
+    Word
+    drain(std::size_t port)
+    {
+        const Word tag = sw.outQueue(port, 0).pop().value;
+        sys.events().run();
+        return tag;
+    }
+};
+
+TEST(Switch, DrainWakesStalledInputsInAscendingIndexOrder)
+{
+    StallRig r;
+    // Fill outputs 3, 2 and 1 (VC0) so later arrivals stall.
+    r.inject(0, 0, 3);
+    r.inject(0, 0, 2);
+    r.inject(3, 0, 1);
+    ASSERT_EQ(r.sw.forwarded(), 3u);
+
+    // Four inputs stall on output 3, parked out of index order; one
+    // input stalls on output 2.
+    r.inject(2, 1, 3);
+    r.inject(0, 1, 3);
+    r.inject(3, 1, 3);
+    r.inject(1, 0, 3);
+    r.inject(1, 1, 2);
+    EXPECT_EQ(r.sw.forwarded(), 3u);
+
+    // Freeing an output nobody waits on grants nothing.
+    EXPECT_EQ(r.drain(1), 3 * 2 + 0u);
+    EXPECT_EQ(r.sw.forwarded(), 3u);
+
+    // Output 3 drains one slot at a time; each slot goes to the lowest
+    // (port, vc) index still waiting: (0,1), (1,0), (2,1), (3,1).
+    EXPECT_EQ(r.drain(3), 0u); // the fill packet from input (0,0)
+    EXPECT_EQ(r.sw.forwarded(), 4u);
+    EXPECT_EQ(r.drain(3), 0 * 2 + 1u);
+    EXPECT_EQ(r.drain(3), 1 * 2 + 0u);
+    EXPECT_EQ(r.drain(3), 2 * 2 + 1u);
+    EXPECT_EQ(r.sw.forwarded(), 7u);
+    // Input (1,1) still waits on output 2, untouched by output 3.
+    EXPECT_EQ(r.sw.inQueue(1, 1).size(), 1u);
+    EXPECT_EQ(r.drain(3), 3 * 2 + 1u);
+    EXPECT_EQ(r.sw.forwarded(), 7u);
+
+    EXPECT_EQ(r.drain(2), 0u); // the fill packet from input (0,0)
+    EXPECT_EQ(r.sw.forwarded(), 8u);
+    EXPECT_EQ(r.drain(2), 1 * 2 + 1u);
+    EXPECT_TRUE(r.sw.inQueue(1, 1).empty());
+}
+
+TEST(Switch, RouteFlipRepumpsStalledInputs)
+{
+    StallRig r;
+    r.inject(0, 0, 3);
+    r.inject(1, 0, 3); // stalls on output 3
+    ASSERT_EQ(r.sw.forwarded(), 1u);
+
+    // The flip sends node 3 out of port 2, which is free: the stalled
+    // head leaves at once, without waiting for output 3 to drain.
+    r.sw.applyRoutes({0, 1, 2, 2});
+    r.sys.events().run();
+    EXPECT_EQ(r.sw.forwarded(), 2u);
+    EXPECT_EQ(r.drain(2), 1 * 2 + 0u);
+
+    // Its stale parking on output 3 costs one no-op re-pump.
+    EXPECT_EQ(r.drain(3), 0u);
+    EXPECT_EQ(r.sw.forwarded(), 2u);
 }
 
 TEST(SwitchDeathTest, UnroutedDestinationPanics)
