@@ -80,6 +80,9 @@ main(int argc, char **argv)
 
     ResultTable table({"writers", "writes/node", "naive multicast",
                        "owner-counter (paper)"});
+    // Gate (exit code): every row must show the figure's contrast —
+    // naive copies diverge, owner-counter copies never do.
+    int rows = 0, failures = 0;
     for (std::size_t writers : {2u, 3u, 4u}) {
         for (int writes : {20, 100}) {
             double naive_acc = 0, owner_acc = 0;
@@ -102,12 +105,22 @@ main(int argc, char **argv)
                           100 * naive_acc / kTrials, "%");
             report.metric("owner.divergent_pct." + tag,
                           100 * owner_acc / kTrials, "%");
+            ++rows;
+            if (!(naive_acc > 0 && owner_acc == 0)) {
+                ++failures;
+                std::printf("check %s: naive %.1f%% > 0, owner %.1f%% == 0"
+                            "  [FAIL]\n",
+                            tag.c_str(), 100 * naive_acc / kTrials,
+                            100 * owner_acc / kTrials);
+            }
         }
     }
     table.print();
 
-    std::printf("\nshape check: naive diverges under concurrent writers, "
-                "the owner protocol never does (paper section 2.3)\n");
+    std::printf("\nshape check: %d/%d rows show naive diverging under "
+                "concurrent writers and the owner protocol converging "
+                "(paper section 2.3)\n",
+                rows - failures, rows);
     report.write();
-    return 0;
+    return failures ? 1 : 0;
 }

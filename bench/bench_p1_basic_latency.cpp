@@ -13,6 +13,7 @@
  * variants — the paper measured Telegraphos I.
  */
 
+#include <cmath>
 #include <cstdio>
 #include <set>
 
@@ -155,16 +156,43 @@ main(int argc, char **argv)
                   ResultTable::num(t2.fenceUs, 1), "-"});
     table.print();
 
-    std::printf("\nshape check: write ~10x cheaper than read "
-                "(paper: 0.70 vs 7.2)\n");
+    // Gates (exit code): the Telegraphos I anchors within kAnchorTol of
+    // the paper, and the write/read asymmetry section 3.2 argues from.
+    constexpr double kPaperWriteUs = 0.70;
+    constexpr double kPaperReadUs = 7.2;
+    constexpr double kAnchorTol = 0.05;
+    constexpr double kMinReadOverWrite = 8.0;
 
-    report.anchor("t1.remote_write_us", t1.writeUs, 0.70);
-    report.anchor("t1.remote_read_us", t1.readUs, 7.2);
-    report.anchor("t1.write_wire_interval_us", t1.writeWireUs, 0.70);
+    int checks = 0, failures = 0;
+    auto check = [&](bool ok, const char *what, double got, double want) {
+        ++checks;
+        failures += ok ? 0 : 1;
+        std::printf("check %-22s %7.3f vs %7.3f  [%s]\n", what, got, want,
+                    ok ? "PASS" : "FAIL");
+    };
+    auto within = [&](double got, double want) {
+        return std::fabs(got - want) <= kAnchorTol * want;
+    };
+    std::printf("\n");
+    check(within(t1.writeUs, kPaperWriteUs), "remote write us (+-5%)",
+          t1.writeUs, kPaperWriteUs);
+    check(within(t1.readUs, kPaperReadUs), "remote read us (+-5%)",
+          t1.readUs, kPaperReadUs);
+    const double ratio = t1.writeUs > 0 ? t1.readUs / t1.writeUs : 0.0;
+    check(ratio >= kMinReadOverWrite, "read/write ratio (>=)", ratio,
+          kMinReadOverWrite);
+    std::printf("\nshape check: %d/%d P1 assertions hold (paper: write "
+                "%.2f vs read %.1f us)\n",
+                checks - failures, checks, kPaperWriteUs, kPaperReadUs);
+
+    report.anchor("t1.remote_write_us", t1.writeUs, kPaperWriteUs);
+    report.anchor("t1.remote_read_us", t1.readUs, kPaperReadUs);
+    report.anchor("t1.write_wire_interval_us", t1.writeWireUs,
+                  kPaperWriteUs);
     report.metric("t1.remote_fetch_inc_us", t1.atomicUs, "us");
     report.metric("t1.fence_us", t1.fenceUs, "us");
     report.metric("t2.remote_write_us", t2.writeUs, "us");
     report.metric("t2.remote_read_us", t2.readUs, "us");
     report.write();
-    return 0;
+    return failures ? 1 : 0;
 }

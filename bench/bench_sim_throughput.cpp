@@ -19,7 +19,6 @@
 #include "api/cluster.hpp"
 #include "api/context.hpp"
 #include "api/segment.hpp"
-#include "net/fabric_sim.hpp"
 #include "net/network.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/system.hpp"
@@ -267,7 +266,9 @@ runPacketPath(benchmark::State &state, const ClusterSpec &base,
 {
     ClusterSpec spec = base;
     spec.seed(7)
-        // Scale-study link speed (see the sharded-fabric tier below).
+        // Scale-study link speed (APEnet-class, ~1 GB/s) instead of the
+        // paper's 35 MB/s ribbon cable: serialization stays a realistic
+        // 40 ticks and the event mix is hop-dominated.
         .tune([](Config &c) { c.linkBytesPerTick = 1.0; });
 
     const std::size_t nodes = spec.topology().nodes;
@@ -363,81 +364,6 @@ BM_PacketPathFatTreeFaulty(benchmark::State &state)
     runPacketPath(state, spec, 50);
 }
 BENCHMARK(BM_PacketPathFatTreeFaulty);
-
-// ---------------------------------------------------------------------
-// Sharded PDES fabric scaling (DESIGN.md section 13.4)
-//
-// One benchmark per fabric, swept over 1/2/4/8 shards.  The gated
-// `events_per_s` counter is the *aggregate* rate: events executed
-// divided by the engine's critical-path (parallel-makespan) seconds —
-// the sum over epochs of the slowest shard's execute+drain slice.  At
-// one shard this equals the plain busy rate; at N shards it is the
-// throughput a fully parallel execution converges to, measured
-// machine-independently (CI runners and the dev box disagree on core
-// counts, the per-slice self-measurement does not).  `wall_events_per_s`
-// reports the conventional wall rate alongside.
-// ---------------------------------------------------------------------
-
-void
-runShardedFabric(benchmark::State &state, const ClusterSpec &base)
-{
-    const std::uint32_t nShards = std::uint32_t(state.range(0));
-    ClusterSpec spec = base;
-    spec.shards(nShards)
-        .seed(99)
-        // Scale-study link speed (APEnet-class, ~1 GB/s) instead of the
-        // paper's 35 MB/s ribbon cable: serialization stays a realistic
-        // 40 ticks and the event mix is hop-dominated.
-        .tune([](Config &c) { c.linkBytesPerTick = 1.0; });
-
-    net::FabricWorkload wl;
-    wl.kind = net::FabricWorkload::Kind::Uniform;
-    wl.packetsPerNode = 200;
-    wl.injectGap = 250;
-    wl.payloadBytes = 24;
-
-    std::uint64_t events = 0;
-    std::uint64_t delivered = 0;
-    double criticalSec = 0;
-    double busySec = 0;
-    for (auto _ : state) {
-        net::FabricSim sim(spec.topology(), spec.config, wl);
-        events += sim.run();
-        delivered += sim.delivered();
-        criticalSec += sim.criticalPathSeconds();
-        busySec += sim.busySeconds();
-        if (!sim.auditQuiescent())
-            state.SkipWithError("fabric ledger not quiescent");
-    }
-    state.SetItemsProcessed(std::int64_t(delivered));
-    state.counters["events_per_s"] =
-        benchmark::Counter(double(events) / criticalSec);
-    state.counters["wall_events_per_s"] = benchmark::Counter(
-        double(events), benchmark::Counter::kIsRate);
-    state.counters["busy_over_critical"] =
-        benchmark::Counter(busySec / criticalSec);
-}
-
-void
-BM_ShardedFabricTorus2D(benchmark::State &state)
-{
-    runShardedFabric(state, ClusterSpec::torus(8, 8, 4)); // 256 nodes
-}
-BENCHMARK(BM_ShardedFabricTorus2D)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
-
-void
-BM_ShardedFabricTorus3D(benchmark::State &state)
-{
-    runShardedFabric(state, ClusterSpec::torus3d(4, 4, 4, 4)); // 256 nodes
-}
-BENCHMARK(BM_ShardedFabricTorus3D)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
-
-void
-BM_ShardedFabricFatTree(benchmark::State &state)
-{
-    runShardedFabric(state, ClusterSpec::fatTree(256, 4, 8)); // 64 leaves
-}
-BENCHMARK(BM_ShardedFabricFatTree)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 
 } // namespace
 

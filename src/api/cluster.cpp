@@ -190,13 +190,6 @@ ClusterSpec::faults(const FaultSpec &f)
     return *this;
 }
 
-ClusterSpec &
-ClusterSpec::shards(std::uint32_t n)
-{
-    config.shards = n;
-    return *this;
-}
-
 Expected<std::unique_ptr<Cluster>, ConfigError>
 Cluster::build(const ClusterSpec &spec)
 {

@@ -162,13 +162,6 @@ struct ClusterSpec
     /** Link fault model (inert spec disables it). */
     ClusterSpec &faults(const FaultSpec &f);
 
-    /** Shards for the parallel fabric engine (Config::shards): packet
-     *  workloads built from this spec (net::FabricSim, the scaling
-     *  benches) execute on @p n PDES shards with identical results —
-     *  the digest is shard-count invariant (DESIGN.md section 13).
-     *  The full Cluster model itself still runs sequentially. */
-    ClusterSpec &shards(std::uint32_t n);
-
     /** Escape hatch: arbitrary Config tuning without raw field pokes at
      *  call sites (`spec.tune([](tg::Config &c) { c.linkDelay = 50; })`). */
     template <typename F>

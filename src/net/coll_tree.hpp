@@ -4,9 +4,9 @@
  *
  * The NIC collective engine (hib::CollEngine, DESIGN.md section 15) runs
  * barrier / broadcast / reduce state machines over a reduction tree whose
- * shape must be (a) identical on every member node, every seed and every
- * shard count, and (b) topology-aware, so a torus gets locality-clustered
- * subtrees instead of a shape that zig-zags across the fabric.
+ * shape must be (a) identical on every member node and every seed, and
+ * (b) topology-aware, so a torus gets locality-clustered subtrees
+ * instead of a shape that zig-zags across the fabric.
  *
  * buildCollTree() satisfies both with a greedy deterministic construction
  * driven purely by TopologyModel::hops(): members are attached in

@@ -268,12 +268,6 @@ struct Config
     /** Seed for all stochastic workload decisions. */
     std::uint64_t seed = 1;
 
-    /** Shards for the parallel fabric engine (net::FabricSim; DESIGN.md
-     *  section 13).  Results are shard-count invariant by contract; >1
-     *  only changes how the simulation is executed.  The full Cluster
-     *  model runs sequentially regardless. */
-    std::uint32_t shards = 1;
-
     /** Record packet-lifecycle spans in the System's Tracer (DESIGN.md
      *  section 8).  Off by default: the disabled tracer adds a single
      *  predicted branch and no allocation to the packet fast path. */
@@ -281,8 +275,8 @@ struct Config
 
     /** Trace 1 in 2^traceSampleShift operations (0 = every one).  The
      *  sampled subset is a pure hash of the operation id (DESIGN.md
-     *  section 14.4), so it is identical across seeds and shard counts
-     *  and the simulated schedule never depends on it. */
+     *  section 14.4), so it is identical across seeds and the simulated
+     *  schedule never depends on it. */
     std::uint32_t traceSampleShift = 0;
 
     /**

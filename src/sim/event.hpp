@@ -18,10 +18,9 @@
  *    the capture, which keeps ladder-queue bucket moves cheap.
  *
  * `tg::Event` is the `void()` instantiation used by the EventQueue.
- * The pool free list and its counters are thread_local: each shard of a
- * future parallel engine (ROADMAP item 1) gets its own pool, so the
- * fast path stays unsynchronized without ever becoming a cross-shard
- * race.
+ * The pool free list and its counters are thread_local, so independent
+ * Clusters driven on separate threads never share a free list and the
+ * fast path stays unsynchronized without becoming a data race.
  */
 
 #ifndef TELEGRAPHOS_SIM_EVENT_HPP
@@ -98,8 +97,8 @@ class ClosurePool
         Block *next;
     };
 
-    // thread_local: one pool per shard, so the unsynchronized fast path
-    // can never race across shards of a parallel engine.
+    // thread_local: one pool per thread, so independent Clusters on
+    // separate threads never share a free list.
     static inline thread_local Block *_free = nullptr;
     static inline thread_local std::uint64_t _fresh = 0;
     static inline thread_local std::uint64_t _reused = 0;

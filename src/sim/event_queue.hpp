@@ -86,10 +86,6 @@ class EventQueue
     /** Total events executed since construction. */
     std::uint64_t executed() const { return _executed; }
 
-    /** Earliest pending tick, or kMaxTick when the queue is empty.  The
-     *  sharded engine's coordinator uses this to skip empty epochs. */
-    Tick nextPending() const { return empty() ? kMaxTick : nextWhen(); }
-
     /**
      * Trace-hash accumulator over the run: every fired event mixes
      * (when, seq); components mix packet fields at the HIB boundaries.

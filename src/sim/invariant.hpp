@@ -110,26 +110,6 @@ class TraceHash
 };
 
 /**
- * Canonical merge of per-LP trace hashes (DESIGN.md section 13.3).
- *
- * Folds each accumulator's (value, mixed) pair into a fresh FNV-1a
- * stream in index order.  Because each per-LP hash sees only its own
- * LP's history and the fold order is the LP order — never the shard or
- * thread layout — the merged digest is invariant under re-partitioning:
- * byte-identical at any shard count and any worker-thread count.
- */
-inline std::uint64_t
-mergeTraceHashes(const TraceHash *hashes, std::size_t n)
-{
-    TraceHash merged;
-    for (std::size_t i = 0; i < n; ++i) {
-        merged.mix(hashes[i].value());
-        merged.mix(hashes[i].mixed());
-    }
-    return merged.value();
-}
-
-/**
  * Cluster-wide packet conservation ledger.
  *
  * Counting boundaries:

@@ -77,8 +77,8 @@ Config::validate() const
         fatal("tlbEntries must be >= 1");
     if (hibContexts == 0)
         fatal("hibContexts must be >= 1");
-    if (shards == 0)
-        fatal("shards must be >= 1");
+    if (collFanout == 0)
+        fatal("collFanout must be >= 1");
     fault.validate();
 }
 

@@ -34,8 +34,7 @@
  *
  * Sampling contract: setSampleShift(s) records 1 in 2^s operations,
  * chosen by a splitmix64 hash of the operation id — a pure function of
- * the id, so the choice is stable across seeds, shard counts and
- * machines.  beginOp() consumes — and returns — an id whether or not
+ * the id, so the choice is stable across seeds and machines.  beginOp() consumes — and returns — an id whether or not
  * the op is sampled (numbering is identical with sampling on and off,
  * and downstream layers see a real id either way), while record()
  * re-derives the sampling decision from the id and drops events for
@@ -107,7 +106,7 @@ const char *opKindName(OpKind k);
 /**
  * splitmix64 finalizer: the sampling hash.  A pure function of the
  * operation id — no seed, no global state — so the sampled subset is
- * identical across runs, seeds and shard counts.
+ * identical across runs and seeds.
  */
 constexpr std::uint64_t
 mix64(std::uint64_t x)
@@ -181,9 +180,9 @@ class Tracer
 
     /**
      * Record 1 in 2^shift operations (0 = every op).  The subset is a
-     * pure hash of the op id (mix64), so it is identical across seeds
-     * and shard counts; beginOp() still consumes an id for unsampled
-     * ops, keeping the numbering independent of the shift.
+     * pure hash of the op id (mix64), so it is identical across seeds;
+     * beginOp() still consumes an id for unsampled ops, keeping the
+     * numbering independent of the shift.
      */
     void setSampleShift(std::uint32_t shift) { _sampleShift = shift; }
     std::uint32_t sampleShift() const { return _sampleShift; }

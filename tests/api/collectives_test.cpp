@@ -254,10 +254,9 @@ TEST(Collectives, HostAndNicAgreeAcrossFabricsAndSeeds)
 // ---------------------------------------------------------------------
 
 std::uint64_t
-hashOfCollectiveRun(CollectiveBackend b, std::uint32_t shards)
+hashOfCollectiveRun(CollectiveBackend b)
 {
-    ClusterSpec spec =
-        ClusterSpec::torus(2, 2, 2).seed(99).collectives(b).shards(shards);
+    ClusterSpec spec = ClusterSpec::torus(2, 2, 2).seed(99).collectives(b);
     Cluster c(spec);
     Communicator &comm =
         c.communicator("comm", {0, 1, 2, 3, 4, 5, 6, 7}, 8);
@@ -280,14 +279,9 @@ hashOfCollectiveRun(CollectiveBackend b, std::uint32_t shards)
 TEST(Collectives, SameSeedRunsHashIdenticallyPerBackend)
 {
     for (const CollectiveBackend b : kBackends) {
-        const std::uint64_t h1 = hashOfCollectiveRun(b, 1);
-        const std::uint64_t h2 = hashOfCollectiveRun(b, 1);
+        const std::uint64_t h1 = hashOfCollectiveRun(b);
+        const std::uint64_t h2 = hashOfCollectiveRun(b);
         EXPECT_EQ(h1, h2) << backendName(b);
-        // The sharded fabric engine contract: shard count never changes
-        // results, and the full cluster model runs sequentially either
-        // way — the audit hash must not move under .shards(n).
-        const std::uint64_t h4 = hashOfCollectiveRun(b, 4);
-        EXPECT_EQ(h1, h4) << backendName(b) << " shards=4";
     }
 }
 
@@ -358,6 +352,18 @@ TEST(Collectives, CollCountersAlwaysOnStatsSurface)
     c.statsReport(report);
     EXPECT_NE(report.str().find("hib.coll_barriers"), std::string::npos);
     EXPECT_NE(report.str().find("hib.coll_desc_peak"), std::string::npos);
+}
+
+// ---------------------------------------------------------------------
+// Configuration: a fanout of 0 has no tree; reject it up front rather
+// than rely on the audit-only guard in buildCollTree
+// ---------------------------------------------------------------------
+
+TEST(CollectivesDeathTest, ZeroFanoutDiesAtConstruction)
+{
+    ClusterSpec spec = ClusterSpec::star(4).tune(
+        [](Config &c) { c.collFanout = 0; });
+    EXPECT_DEATH({ Cluster c(spec); }, "collFanout must be >= 1");
 }
 
 } // namespace
