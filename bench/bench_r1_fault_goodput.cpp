@@ -10,11 +10,16 @@
  * latency) at increasing per-hop loss rates.
  *
  * Output: a human-readable table plus one machine-readable JSON line
- * (prefix "JSON:") for plotting scripts.
+ * (prefix "JSON:") for plotting scripts.  The exit code is the table's
+ * shape check: the loss-free row is clean, no row loses a packet for
+ * good, goodput never rises and p99 read latency never falls with loss,
+ * every p50 read stays at P1's anchor, and the 1e-2 row retransmits.
  */
 
+#include <cmath>
 #include <cstdio>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "api/cluster.hpp"
@@ -129,6 +134,42 @@ main(int argc, char **argv)
         report.metric(tag.str() + ".retransmissions",
                       double(x.retransmissions));
     }
+    // Gates (exit code), rows in ascending loss order.
+    constexpr double kPaperReadUs = 7.2; // P1's anchor
+    constexpr double kAnchorTol = 0.05;
+    int checks = 0, failures = 0;
+    auto check = [&](bool ok, const std::string &what) {
+        ++checks;
+        failures += ok ? 0 : 1;
+        std::printf("check %-44s [%s]\n", what.c_str(), ok ? "PASS" : "FAIL");
+    };
+    std::printf("\n");
+    const RunResult &clean = results.front();
+    check(clean.retransmissions == 0 && clean.crcErrors == 0 &&
+              clean.wireFailures == 0,
+          "loss 0: no retx, CRC errors or failures");
+    for (std::size_t i = 0; i < results.size(); ++i) {
+        const RunResult &x = results[i];
+        char tag[32];
+        std::snprintf(tag, sizeof(tag), "loss %g: ", x.lossRate);
+        check(x.wireFailures == 0, std::string(tag) + "no wire failure");
+        check(std::fabs(x.p50ReadUs - kPaperReadUs) <=
+                  kAnchorTol * kPaperReadUs,
+              std::string(tag) + "p50 read within 7.2 us +-5%");
+        if (i > 0) {
+            const RunResult &prev = results[i - 1];
+            check(x.goodputMBs <= prev.goodputMBs,
+                  std::string(tag) + "goodput not above the lower loss");
+            check(x.p99ReadUs >= prev.p99ReadUs,
+                  std::string(tag) + "p99 read not below the lower loss");
+        }
+    }
+    check(results.back().lossRate == 1e-2 &&
+              results.back().retransmissions > 0,
+          "loss 0.01: retransmits");
+    std::printf("\nshape check: %d/%d R1 assertions hold\n",
+                checks - failures, checks);
+
     report.write();
-    return 0;
+    return failures ? 1 : 0;
 }

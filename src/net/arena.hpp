@@ -92,6 +92,15 @@ class PacketArena
         return h;
     }
 
+    /** A new slot holding a copy of slot @p h (hot fields synced): one
+     *  link transmission's own bits, freed independently. */
+    PacketHandle
+    clone(PacketHandle h)
+    {
+        Packet copy = *syncBody(h);
+        return acquire(std::move(copy));
+    }
+
     /** Move the packet out of slot @p h (hot fields written back) and
      *  recycle the slot. */
     Packet

@@ -66,23 +66,61 @@ Channel::serTicks(std::uint32_t wire_bytes) const
 void
 Channel::pump()
 {
-    if (_reliable) {
-        pumpReliable();
+    if (!_reliable) {
+        if (!_busy)
+            transmit();
         return;
     }
+    // Control symbols that have landed are applied first, each at its
+    // own tick; the wire frees lazily, without an event of its own.
+    drainControl(now() + 1);
+    if (_busy && _wireFreeAt <= now()) {
+        _wireFreeAt = kMaxTick;
+        _busy = false;
+    }
+    if (!_busy && !linkDown())
+        transmit();
+    rearm();
+}
 
-    if (_busy)
-        return;
+bool
+Channel::hasWork(std::size_t li) const
+{
+    if (!_reliable)
+        return !_lanes[li].up->empty();
+    const LaneState &ls = _ls[li]; // a retransmission, or window headroom
+    return ls.resend < ls.unacked.size() ||
+           (!_lanes[li].up->empty() &&
+            ls.unacked.size() < _inj.spec().windowPackets);
+}
 
-    // Round-robin over lanes: pick the first one that has a packet and a
+void
+Channel::transmit()
+{
+    // Fail entries whose retry budget is spent before committing any
+    // downstream reservation to them.
+    for (std::size_t li = 0; _reliable && li < _lanes.size(); ++li) {
+        LaneState &ls = _ls[li];
+        while (ls.resend < ls.unacked.size() &&
+               ls.unacked[ls.resend].tries > _inj.spec().maxRetries) {
+            const PacketHandle h = ls.unacked[ls.resend].h;
+            ls.unacked.erase(ls.unacked.begin() + std::ptrdiff_t(ls.resend));
+            if (ls.unacked.empty()) {
+                ls.deadline = kMaxTick;
+                ls.backoff = 0;
+            }
+            fail(_arena->release(h), "retry budget spent");
+        }
+    }
+
+    // Round-robin over lanes: pick the first one that has work and a
     // reservable downstream slot.  Lanes are independently buffered, so a
     // blocked VC never stalls the other — the property the dateline
     // deadlock-avoidance scheme needs.
     std::size_t li = _lanes.size();
     for (std::size_t i = 0; i < _lanes.size(); ++i) {
         const std::size_t c = (_rr + i) % _lanes.size();
-        Lane &cand = _lanes[c];
-        if (!cand.up->empty() && cand.down->reserve()) {
+        if (hasWork(c) && _lanes[c].down->reserve()) {
             li = c;
             _rr = (c + 1) % _lanes.size();
             break;
@@ -97,29 +135,74 @@ Channel::pump()
     // monotonicity of the pending-arrival ring).
     _busy = true;
 
-    // Zero-copy transfer: the packet stays in the arena; only its handle
-    // moves into the pending-arrival ring.
-    const PacketHandle h = _lanes[li].up->popHandle();
+    // The fast path puts the packet's own handle on the wire.  The
+    // reliable path keeps the clean copy for retransmission and sends a
+    // clone (corruption flips a bit in it); a drop sends nothing.
+    PacketHandle src, h;
+    std::uint32_t tries = 0;
+    bool dup = false;
+    if (!_reliable) {
+        src = h = _lanes[li].up->popHandle();
+    } else {
+        LaneState &ls = _ls[li];
+        if (ls.resend == ls.unacked.size()) {
+            const PacketHandle m = _lanes[li].up->popHandle();
+            Packet *b = _arena->syncBody(m);
+            b->lseq = ls.txNext++;
+            b->crc = b->computeCrc();
+            if (ls.unacked.empty())
+                ls.deadline = now() + timeout(ls);
+            ls.unacked.push_back(TxEntry{b->lseq, m, 0});
+        }
+        TxEntry &e = ls.unacked[ls.resend++];
+        if (e.tries > 0)
+            ++_retransmissions;
+        tries = ++e.tries;
+        src = e.h;
+        h = kNoPacket;
+        if (!_inj.active() || !_inj.dropNow()) {
+            h = _arena->clone(src);
+            if (_inj.active() && _inj.corruptNow()) {
+                // Flip one wire bit across the address/value fields; the
+                // stored CRC goes stale and the receiver detects it.
+                Packet *w = _arena->syncBody(h);
+                const std::uint32_t bit = _inj.corruptBit(128);
+                if (bit < 64)
+                    w->value ^= Word(1) << bit;
+                else
+                    w->addr ^= Word(1) << (bit - 64);
+            }
+            dup = _inj.active() && _inj.duplicateNow();
+        }
+    }
+
     const std::uint32_t bytes =
-        config().packetHeaderBytes + _arena->payloadBytes(h);
+        config().packetHeaderBytes + _arena->payloadBytes(src);
     const Tick ser = serTicks(bytes);
     ++_packets;
     _bytes += bytes;
     _busyTicks += ser;
 
-    _sys.tracer().record(_arena->traceId(h), trace::Span::LinkTx, now(),
+    _sys.tracer().record(_arena->traceId(src), trace::Span::LinkTx, now(),
                          _traceComp, ser);
-    if (Trace::anyEnabled())
-        Trace::log(now(), "net", "%s xmit %s (%u B, ser %llu)",
-                   _name.c_str(), _arena->syncBody(h)->toString().c_str(),
-                   bytes, (unsigned long long)ser);
+    if (Trace::anyEnabled()) {
+        const Packet *b = _arena->syncBody(src);
+        Trace::log(now(), "net", "%s xmit %s lseq=%llu try=%u%s (%u B)",
+                   _name.c_str(), b->toString().c_str(),
+                   (unsigned long long)b->lseq, tries,
+                   _reliable && h == kNoPacket ? " DROP" : "", bytes);
+    }
 
     // The wire frees after serialization; the packet lands after
-    // serialization + propagation delay.  Both are processed by the one
-    // armed batch event (onBatchTick) instead of per-packet closures.
+    // serialization + propagation delay, and a duplicate one tick later.
     _wireFreeAt = now() + ser;
-    _pending.push_back(PendingArrival{now() + ser + _delay, li, h});
-    armAt(_wireFreeAt);
+    const Tick at = _wireFreeAt + _delay;
+    _pending.v.push_back(PendingArrival{at, std::uint32_t(li), h});
+    if (dup)
+        _pending.v.push_back(
+            PendingArrival{at + 1, std::uint32_t(li), kNoPacket, true});
+    if (!_reliable)
+        armAt(_wireFreeAt);
 }
 
 void
@@ -138,8 +221,31 @@ void
 Channel::rearm()
 {
     Tick next = _wireFreeAt;
-    if (_pendingHead < _pending.size() && _pending[_pendingHead].at < next)
-        next = _pending[_pendingHead].at;
+    if (_reliable) {
+        // Wake for the wire when a lane has work; for ACKs when a full
+        // window holds packets back or a backed-off timer waits (an ACK
+        // moves its deadline earlier); for every NACK.  A deadline needs
+        // no wake once the receiver holds the whole window and its ACK
+        // is due first: that ACK clears the timer whenever it applies.
+        bool wire = false, ctrl = _pendingNacks > 0;
+        next = _downWakeAt;
+        for (std::size_t li = 0; li < _lanes.size(); ++li) {
+            const LaneState &ls = _ls[li];
+            wire = wire || hasWork(li);
+            ctrl = ctrl || ls.backoff > 0 ||
+                   (!_lanes[li].up->empty() &&
+                    ls.unacked.size() >= _inj.spec().windowPackets);
+            if (ls.unacked.empty() || ls.ackDue >= ls.deadline ||
+                ls.unacked.back().lseq >= ls.rxExpected)
+                next = std::min(next, ls.deadline);
+        }
+        if (wire)
+            next = std::min(next, _wireFreeAt);
+        if (ctrl && !_ctrl.empty())
+            next = std::min(next, _ctrl.front().at);
+    }
+    if (!_pending.empty() && _pending.front().at < next)
+        next = _pending.front().at;
     if (next != kMaxTick)
         armAt(next);
 }
@@ -150,307 +256,168 @@ Channel::onBatchTick()
     const Tick t = now();
     if (t != _armedFor)
         return; // superseded by an earlier re-arm
-    _armedFor = kMaxTick;
+    // The fault-free path re-arms from inside the batch; the reliable
+    // path holds the event until the rearm() that ends its pump().
+    if (!_reliable)
+        _armedFor = kMaxTick;
 
-    if (_wireFreeAt == t) {
+    if (_busy && _wireFreeAt <= t) {
         _wireFreeAt = kMaxTick;
         _busy = false;
+    }
+
+    if (_reliable) {
+        // Symbols that landed before now, then the lanes' timeouts (back
+        // off, then go back to the oldest unacknowledged packet): a timer
+        // fires ahead of an arrival or ACK on its own tick.
+        drainControl(t);
+        for (LaneState &ls : _ls) {
+            if (ls.deadline > t)
+                continue;
+            ls.backoff = std::min(ls.backoff + 1, _inj.spec().backoffCap);
+            ls.resend = 0;
+            ls.deadline = t + timeout(ls);
+        }
+        if (_downWakeAt <= t)
+            _downWakeAt = kMaxTick;
     }
 
     // Deliver (and thereby return credits for) every arrival due now —
     // the per-(link, tick) coalescing — before starting the next
     // transmission, so the pump decides against settled queue state.
-    while (_pendingHead < _pending.size() &&
-           _pending[_pendingHead].at == t) {
-        const PendingArrival a = _pending[_pendingHead];
-        ++_pendingHead;
-        _sys.tracer().record(_arena->traceId(a.h), trace::Span::LinkRx, t,
-                             _traceComp);
-        _lanes[a.lane].down->pushReservedHandle(a.h);
-    }
-    if (_pendingHead == _pending.size()) {
-        _pending.clear();
-        _pendingHead = 0;
+    while (!_pending.empty() && _pending.front().at == t) {
+        const PendingArrival a = _pending.front();
+        _pending.pop();
+        land(a);
     }
 
-    if (!_busy)
+    if (_reliable)
+        _armedFor = kMaxTick; // and pump() re-arms
+    if (_reliable || !_busy)
         pump();
-    rearm();
+    if (!_reliable)
+        rearm();
 }
 
-// ---------------------------------------------------------------------
-// Reliable (fault-model) path
-// ---------------------------------------------------------------------
+void
+Channel::land(const PendingArrival &a)
+{
+    Lane &lane = _lanes[a.lane];
+    if (a.h == kNoPacket) {
+        // Lost on the wire: the reserved slot frees when the packet would
+        // have landed.  A duplicate the buffer absorbed never held one.
+        if (!a.dup)
+            lane.down->cancelReservation();
+        return;
+    }
+    if (_reliable) {
+        // A duplicate lands right behind its original if the downstream
+        // buffer can take it; otherwise back-pressure absorbs the glitch.
+        if (!a.dup && !_pending.empty() && _pending.front().dup &&
+            lane.down->reserve())
+            _pending.front().h = _arena->clone(a.h);
+
+        // The receiver recomputes the CRC over the bits it got, accepts
+        // only the next expected sequence number, re-acks duplicates
+        // cumulatively (so a lost ACK cannot stall the sender) and NACKs
+        // corrupt or out-of-window (gap) arrivals.
+        LaneState &ls = _ls[a.lane];
+        const Packet *w = _arena->syncBody(a.h);
+        Control c{now() + _delay, a.lane, false, 0};
+        bool accept = false;
+        if (w->crc != w->computeCrc()) {
+            ++_crcErrors;
+            Trace::log(now(), "net", "%s rx CRC error lseq=%llu",
+                       _name.c_str(), (unsigned long long)w->lseq);
+            c.nack = true;
+        } else if (w->lseq == ls.rxExpected) {
+            c.lseq = ls.rxExpected++;
+            accept = true;
+        } else if (w->lseq < ls.rxExpected) {
+            ++_dupDiscards;
+            c.lseq = ls.rxExpected - 1;
+        } else {
+            ++_outOfWindow;
+            c.nack = true;
+        }
+        _pendingNacks += c.nack;
+        if (!c.nack)
+            ls.ackDue = c.at;
+        _ctrl.v.push_back(c);
+        if (!accept) {
+            (void)_arena->release(a.h);
+            lane.down->cancelReservation();
+            return;
+        }
+    }
+    _sys.tracer().record(_arena->traceId(a.h), trace::Span::LinkRx, now(),
+                         _traceComp);
+    lane.down->pushReservedHandle(a.h);
+}
 
 void
-Channel::pumpReliable()
+Channel::drainControl(Tick until)
 {
-    if (_busy)
-        return;
+    while (!_ctrl.empty() && _ctrl.front().at < until) {
+        const Control c = _ctrl.front();
+        _ctrl.pop();
+        LaneState &ls = _ls[c.lane];
+        if (c.nack) {
+            --_pendingNacks;
+            // One go-back per round trip: a burst of in-flight packets
+            // behind a single corruption produces a NACK each, but only
+            // the first may rewind the resend pointer — otherwise the
+            // head packet would be retransmitted once per NACK and
+            // spuriously burn its retry budget.
+            if (ls.unacked.empty() || c.at < ls.nackMuteUntil)
+                continue;
+            const PacketHandle head = ls.unacked.front().h;
+            ls.nackMuteUntil = c.at + 2 * _delay +
+                               serTicks(config().packetHeaderBytes +
+                                        _arena->payloadBytes(head));
+            ls.resend = 0;
+            ls.deadline = c.at + timeout(ls);
+            continue;
+        }
+        std::size_t popped = 0;
+        while (popped < ls.unacked.size() &&
+               ls.unacked[popped].lseq <= c.lseq)
+            (void)_arena->release(ls.unacked[popped++].h);
+        if (popped == 0)
+            continue;
+        ls.unacked.erase(ls.unacked.begin(),
+                         ls.unacked.begin() + std::ptrdiff_t(popped));
+        ls.resend = ls.resend > popped ? ls.resend - popped : 0;
+        ls.backoff = 0;
+        ls.deadline =
+            ls.unacked.empty() ? kMaxTick : c.at + _inj.spec().retryTimeout;
+    }
+}
 
-    // Administrative outage: the wire transmits nothing.  Past the
-    // deadline everything pending fails over to the error path; otherwise
-    // wake up when the link comes back (or when the deadline passes).
+bool
+Channel::linkDown()
+{
     // isDown is checked regardless of active(): targeted down-windows
-    // apply to matching links outside the random-fault filter too.
-    if (_inj.isDown(now())) {
-        if (_inj.downPastDeadline(now())) {
-            failFast();
-            return;
-        }
-        if (!_downWakeArmed) {
-            _downWakeArmed = true;
-            const Tick until = _inj.downUntil(now());
-            const Tick deadline =
-                _inj.downStart(now()) + _inj.spec().linkDownDeadline + 1;
-            schedule(std::min(until, deadline) - now(), [this] {
-                _downWakeArmed = false;
-                pump();
-            });
-        }
-        return;
-    }
-
-    // Fail entries whose retry budget is spent before committing any
-    // downstream reservation to them.
-    for (std::size_t li = 0; li < _lanes.size(); ++li) {
-        LaneState &ls = _ls[li];
-        while (ls.resend < ls.unacked.size() &&
-               ls.unacked[ls.resend].tries > _inj.spec().maxRetries)
-            failEntry(li, ls.resend);
-    }
-
-    // Round-robin lane selection: a lane is eligible when it has either a
-    // retransmission pending or a fresh packet and window headroom, plus
-    // a reservable downstream slot.
-    std::size_t li = _lanes.size();
-    for (std::size_t i = 0; i < _lanes.size(); ++i) {
-        const std::size_t c = (_rr + i) % _lanes.size();
-        Lane &cand = _lanes[c];
-        LaneState &ls = _ls[c];
-        const bool retx = ls.resend < ls.unacked.size();
-        const bool fresh = !cand.up->empty() &&
-                           ls.unacked.size() < _inj.spec().windowPackets;
-        if ((retx || fresh) && cand.down->reserve()) {
-            li = c;
-            _rr = (c + 1) % _lanes.size();
-            break;
-        }
-    }
-    if (li == _lanes.size())
-        return;
-
-    Lane &lane = _lanes[li];
-    LaneState &ls = _ls[li];
-
-    // Claim the wire before popping: the pop can re-enter pump() through
-    // the queue's listener chain and must find the server busy.
-    _busy = true;
-
-    if (ls.resend == ls.unacked.size()) {
-        TxEntry e;
-        e.pkt = lane.up->pop();
-        e.pkt.lseq = ls.txNext++;
-        e.pkt.crc = e.pkt.computeCrc();
-        const bool was_empty = ls.unacked.empty();
-        ls.unacked.push_back(std::move(e));
-        if (was_empty)
-            armTimer(li);
-    }
-
-    TxEntry &e = ls.unacked[ls.resend];
-    ++ls.resend;
-    if (e.tries > 0)
-        ++_retransmissions;
-    ++e.tries;
-
-    Packet wire = e.pkt;
-
-    bool drop = false, dup = false;
-    if (_inj.active()) {
-        drop = _inj.dropNow();
-        if (!drop && _inj.corruptNow()) {
-            // Flip one wire bit across the address/value fields; the
-            // stored CRC goes stale and the receiver detects it.
-            const std::uint32_t bit = _inj.corruptBit(128);
-            if (bit < 64)
-                wire.value ^= Word(1) << bit;
-            else
-                wire.addr ^= Word(1) << (bit - 64);
-        }
-        if (!drop)
-            dup = _inj.duplicateNow();
-    }
-
-    const std::uint32_t bytes = wire.wireBytes(config().packetHeaderBytes);
-    const Tick ser = serTicks(bytes);
-
-    ++_packets;
-    _bytes += bytes;
-    _busyTicks += ser;
-
-    _sys.tracer().record(wire.traceId, trace::Span::LinkTx, now(),
-                         _traceComp, ser);
-    if (Trace::anyEnabled())
-        Trace::log(now(), "net", "%s xmit %s lseq=%llu try=%u%s (%u B)",
-                   _name.c_str(), wire.toString().c_str(),
-                   (unsigned long long)wire.lseq, e.tries,
-                   drop ? " DROP" : "", bytes);
-
-    schedule(ser, [this] {
-        _busy = false;
-        pump();
-    });
-    if (drop) {
-        // The transfer vanishes on the wire; the reserved slot frees when
-        // the (never-arriving) packet would have landed.
-        schedule(ser + _delay,
-                 [down = lane.down] { down->cancelReservation(); });
-    } else {
-        schedule(ser + _delay,
-                 [this, li, wire = std::move(wire), dup]() mutable {
-                     deliver(li, std::move(wire), dup);
-                 });
-    }
-}
-
-void
-Channel::deliver(std::size_t li, Packet &&wire, bool dup_follows)
-{
-    Lane &lane = _lanes[li];
-    LaneState &ls = _ls[li];
-
-    if (dup_follows) {
-        // The duplicated copy lands right behind the original if the
-        // downstream buffer can take it (otherwise the wire glitch is
-        // absorbed by back-pressure).
-        if (lane.down->reserve()) {
-            schedule(1, [this, li, copy = wire]() mutable {
-                deliver(li, std::move(copy), false);
-            });
-        }
-    }
-
-    if (wire.crc != wire.computeCrc()) {
-        ++_crcErrors;
-        Trace::log(now(), "net", "%s rx CRC error lseq=%llu", _name.c_str(),
-                   (unsigned long long)wire.lseq);
-        lane.down->cancelReservation();
-        schedule(_delay, [this, li] { onNack(li); });
-        return;
-    }
-
-    if (wire.lseq == ls.rxExpected) {
-        ++ls.rxExpected;
-        const std::uint64_t acked = wire.lseq;
-        _sys.tracer().record(wire.traceId, trace::Span::LinkRx, now(),
-                             _traceComp);
-        lane.down->pushReserved(std::move(wire));
-        schedule(_delay, [this, li, acked] { onAck(li, acked); });
-        return;
-    }
-
-    if (wire.lseq < ls.rxExpected) {
-        // Duplicate: discard, but re-ack cumulatively so a lost ACK does
-        // not stall the sender.
-        ++_dupDiscards;
-        lane.down->cancelReservation();
-        const std::uint64_t acked = ls.rxExpected - 1;
-        schedule(_delay, [this, li, acked] { onAck(li, acked); });
-        return;
-    }
-
-    // Gap: an earlier transmission was lost; go-back-N discards
-    // out-of-window arrivals and NACKs.
-    ++_outOfWindow;
-    lane.down->cancelReservation();
-    schedule(_delay, [this, li] { onNack(li); });
-}
-
-void
-Channel::onAck(std::size_t li, std::uint64_t lseq)
-{
-    LaneState &ls = _ls[li];
-    std::size_t popped = 0;
-    while (!ls.unacked.empty() && ls.unacked.front().pkt.lseq <= lseq) {
-        ls.unacked.pop_front();
-        ++popped;
-    }
-    if (popped == 0)
-        return;
-    ls.resend = ls.resend > popped ? ls.resend - popped : 0;
-    ls.backoff = 0;
-    if (ls.unacked.empty())
-        cancelTimer(li);
+    // apply to matching links outside the random-fault filter too.  Past
+    // the deadline everything pending fails over to the error path;
+    // otherwise look again when the link returns or the deadline passes.
+    const Tick t = now();
+    if (!_inj.isDown(t))
+        return false;
+    if (_inj.downPastDeadline(t))
+        failFast();
     else
-        armTimer(li);
-    pump();
+        _downWakeAt = std::min(_inj.downUntil(t),
+                               _inj.downStart(t) +
+                                   _inj.spec().linkDownDeadline + 1);
+    return true;
 }
 
 void
-Channel::onNack(std::size_t li)
+Channel::fail(Packet &&pkt, const char *why)
 {
-    LaneState &ls = _ls[li];
-    if (ls.unacked.empty())
-        return;
-    // One go-back per round trip: a burst of in-flight packets behind a
-    // single corruption produces a NACK each, but only the first may
-    // rewind the resend pointer — otherwise the head packet would be
-    // retransmitted once per NACK and spuriously burn its retry budget.
-    if (now() < ls.nackMuteUntil)
-        return;
-    const std::uint32_t head_bytes =
-        ls.unacked.front().pkt.wireBytes(config().packetHeaderBytes);
-    ls.nackMuteUntil = now() + serTicks(head_bytes) + 2 * _delay;
-    ls.resend = 0;
-    armTimer(li);
-    pump();
-}
-
-void
-Channel::armTimer(std::size_t li)
-{
-    LaneState &ls = _ls[li];
-    const std::uint64_t gen = ++ls.timerGen;
-    ls.timerArmed = true;
-    const std::uint32_t shift =
-        std::min(ls.backoff, _inj.spec().backoffCap);
-    schedule(_inj.spec().retryTimeout << shift, [this, li, gen] {
-        LaneState &l = _ls[li];
-        if (l.timerGen != gen || l.unacked.empty())
-            return;
-        // Timeout: exponential backoff, then go back to the oldest
-        // unacknowledged packet.
-        l.backoff = std::min(l.backoff + 1, _inj.spec().backoffCap);
-        l.resend = 0;
-        armTimer(li);
-        pump();
-    });
-}
-
-void
-Channel::cancelTimer(std::size_t li)
-{
-    LaneState &ls = _ls[li];
-    ++ls.timerGen;
-    ls.timerArmed = false;
-    ls.backoff = 0;
-}
-
-void
-Channel::failEntry(std::size_t li, std::size_t pos)
-{
-    LaneState &ls = _ls[li];
-    Packet pkt = std::move(ls.unacked[pos].pkt);
-    ls.unacked.erase(ls.unacked.begin() +
-                     static_cast<std::ptrdiff_t>(pos));
-    if (ls.resend > pos)
-        --ls.resend;
     ++_wireFailures;
-    warn("%s: giving up on %s after %u retries", _name.c_str(),
-         pkt.toString().c_str(), _inj.spec().maxRetries);
-    if (ls.unacked.empty())
-        cancelTimer(li);
+    warn("%s: %s, failing %s", _name.c_str(), why, pkt.toString().c_str());
     if (_failHandler) {
         // Deferred: the handler drains counters and may wake programs
         // that inject new traffic, which must not re-enter a pump that is
@@ -464,26 +431,26 @@ Channel::failEntry(std::size_t li, std::size_t pos)
 void
 Channel::failFast()
 {
-    // The link has been administratively down past the deadline: fail
-    // everything queued or awaiting acknowledgement so in-flight
-    // operations complete with a visible error instead of waiting out
-    // the outage.
+    // Down past the deadline: fail everything queued or unacknowledged so
+    // in-flight operations complete with a visible error instead of
+    // waiting out the outage.  Both ends resynchronise as the link
+    // retrains: entries the receiver already took (ACK still on its way)
+    // retire quietly, and copies of failed entries still on the wire
+    // land as duplicates, so each packet is delivered or failed once.
     for (std::size_t li = 0; li < _lanes.size(); ++li) {
         LaneState &ls = _ls[li];
-        while (!ls.unacked.empty())
-            failEntry(li, 0);
-        ls.resend = 0;
-        while (!_lanes[li].up->empty()) {
-            Packet pkt = _lanes[li].up->pop();
-            ++_wireFailures;
-            warn("%s: link down past deadline, failing %s", _name.c_str(),
-                 pkt.toString().c_str());
-            if (_failHandler) {
-                schedule(0, [this, p = std::move(pkt)]() mutable {
-                    _failHandler(std::move(p));
-                });
-            }
+        for (const TxEntry &e : ls.unacked) {
+            Packet pkt = _arena->release(e.h);
+            if (e.lseq >= ls.rxExpected)
+                fail(std::move(pkt), "link down past deadline");
         }
+        ls.unacked.clear();
+        ls.resend = 0;
+        ls.deadline = kMaxTick;
+        ls.backoff = 0;
+        ls.rxExpected = ls.txNext;
+        while (!_lanes[li].up->empty())
+            fail(_lanes[li].up->pop(), "link down past deadline");
     }
 }
 

@@ -24,37 +24,35 @@
  *    silently discards duplicates (re-acking cumulatively) and NACKs
  *    corrupt or out-of-window arrivals;
  *  - ACK/NACK control symbols return on the cable's dedicated control
- *    lines, modelled as out-of-band events one propagation delay later;
+ *    lines, one propagation delay after the arrival they answer;
  *  - the sender keeps transmitted packets in a retransmit buffer until
  *    cumulatively acknowledged and replays from the oldest unacked packet
- *    on NACK or timeout, with exponential backoff and a bounded retry
- *    budget;
+ *    on NACK or timeout (one deadline per lane), with exponential backoff
+ *    and a bounded retry budget;
  *  - a packet that exhausts its budget — or traffic on a link that is
  *    administratively down past Config::fault.linkDownDeadline — is
  *    handed to the failure handler (wired by net::Network to the cluster)
  *    so upper layers complete the operation with a visible error instead
  *    of wedging.
  *
- * With the default (inert) FaultSpec the original zero-overhead fast path
- * is used and timing is bit-identical to the calibrated model.
+ * With the default (inert) FaultSpec none of this is engaged and timing
+ * is bit-identical to the calibrated model.
  *
- * Fast-path event batching (DESIGN.md section 14.2): instead of
- * scheduling one wire-free closure and one delivery closure per packet
- * (the delivery capturing a full Packet copy, spilling to the closure
- * pool), the channel keeps a monotone ring of pending arrivals holding
- * arena handles and arms at most one [this]-capturing event at the
- * earliest pending tick.  When it fires, *every* credit return and
- * arrival due at that tick is processed in one event — per-(link, tick)
- * coalescing — and the event re-arms for the next pending tick.  The
- * reliability path (engaged only when the fault model is active) keeps
- * the per-packet event structure: drops, duplications and NACK rewinds
- * make its arrival set non-monotone.
+ * Event batching (DESIGN.md section 14.2): both modes share one
+ * datapath, a monotone ring of pending arrivals holding arena handles
+ * and at most one armed [this]-capturing event.  It fires at the
+ * earliest due tick, processes every credit return and arrival due then
+ * (per-(link, tick) coalescing) and re-arms.  One wire serializes every
+ * transmission, so arrival ticks only grow: a drop only cancels its
+ * reservation, and a duplicate lands one tick behind its original.  The
+ * reliable mode adds a monotone ring of ACK/NACK symbols and a deadline
+ * per lane; it wakes for an ACK or the wire only when a sender waits.
  */
 
 #ifndef TELEGRAPHOS_NET_LINK_HPP
 #define TELEGRAPHOS_NET_LINK_HPP
 
-#include <deque>
+#include <algorithm>
 #include <vector>
 
 #include "net/fault.hpp"
@@ -113,92 +111,128 @@ class Channel : public SimObject
     // ------------------------------------------------------------------
 
     /** Arrivals discarded because the CRC check failed. */
-    std::uint64_t corruptions() const
-    {
-        return static_cast<std::uint64_t>(_crcErrors.value());
-    }
+    std::uint64_t corruptions() const { return count(_crcErrors); }
 
     /** Retransmissions performed (transmissions beyond each first). */
-    std::uint64_t retransmissions() const
-    {
-        return static_cast<std::uint64_t>(_retransmissions.value());
-    }
+    std::uint64_t retransmissions() const { return count(_retransmissions); }
 
     /** Duplicate arrivals discarded by the sequence check. */
-    std::uint64_t duplicateDiscards() const
-    {
-        return static_cast<std::uint64_t>(_dupDiscards.value());
-    }
+    std::uint64_t duplicateDiscards() const { return count(_dupDiscards); }
 
     /** Out-of-window (gap) arrivals discarded. */
-    std::uint64_t outOfWindow() const
-    {
-        return static_cast<std::uint64_t>(_outOfWindow.value());
-    }
+    std::uint64_t outOfWindow() const { return count(_outOfWindow); }
 
     /** Packets permanently failed (budget exhausted or failed over after
      *  an administrative outage passed the deadline). */
-    std::uint64_t wireFailures() const
-    {
-        return static_cast<std::uint64_t>(_wireFailures.value());
-    }
+    std::uint64_t wireFailures() const { return count(_wireFailures); }
 
   private:
-    /** Sender-side retransmit buffer entry. */
+    static std::uint64_t
+    count(const Scalar &s)
+    {
+        return static_cast<std::uint64_t>(s.value());
+    }
+
+    /** FIFO over a vector with a head index.  The consumed prefix is
+     *  dropped when drained or half the storage, so a ring that never
+     *  drains stays bounded: zero allocation once warm. */
+    template <typename T> struct Fifo
+    {
+        std::vector<T> v;
+        std::size_t head = 0;
+
+        bool empty() const { return head == v.size(); }
+        T &front() { return v[head]; }
+        void
+        pop()
+        {
+            if (++head == v.size() || (head >= 64 && 2 * head >= v.size())) {
+                v.erase(v.begin(), v.begin() + std::ptrdiff_t(head));
+                head = 0;
+            }
+        }
+    };
+
+    /** One transmission on the wire, landing at `at`.  It owns its bits:
+     *  the packet's own slot, or a clone on the reliable path. */
+    struct PendingArrival
+    {
+        Tick at;             ///< arrival tick (monotone in push order)
+        std::uint32_t lane;  ///< lane index
+        PacketHandle h;      ///< kNoPacket: lost (drop, absorbed duplicate)
+        bool dup = false;    ///< duplicate of the entry pushed before it
+    };
+
+    /** An ACK or NACK symbol on its way back to the sender. */
+    struct Control
+    {
+        Tick at;            ///< arrival at the sender (monotone)
+        std::uint32_t lane; ///< lane index
+        bool nack;
+        std::uint64_t lseq; ///< cumulative ACK: every lseq <= this
+    };
+
+    /** Sender-side retransmit buffer entry: the clean arena copy. */
     struct TxEntry
     {
-        Packet pkt;
-        std::uint32_t tries = 0; ///< transmissions performed so far
+        std::uint64_t lseq;
+        PacketHandle h;
+        std::uint32_t tries; ///< transmissions performed so far
     };
 
     /** Per-lane go-back-N protocol state. */
     struct LaneState
     {
-        std::deque<TxEntry> unacked; ///< sent or sending, not yet acked
-        std::size_t resend = 0;      ///< index of next entry to transmit
-        std::uint64_t txNext = 1;    ///< next sequence number to assign
+        std::vector<TxEntry> unacked; ///< oldest first, <= windowPackets
+        std::size_t resend = 0;       ///< index of next entry to transmit
+        std::uint64_t txNext = 1;     ///< next sequence number to assign
         std::uint64_t rxExpected = 1; ///< receiver: next in-order sequence
-        std::uint64_t timerGen = 0;  ///< cancels superseded timeout events
-        bool timerArmed = false;
-        std::uint32_t backoff = 0;   ///< current backoff doublings
-        Tick nackMuteUntil = 0;      ///< ignore NACKs until a resend RTT
+        Tick deadline = kMaxTick;     ///< retransmit timeout; kMaxTick: none
+        std::uint32_t backoff = 0;    ///< current backoff doublings
+        Tick nackMuteUntil = 0;       ///< ignore NACKs until a resend RTT
+        Tick ackDue = 0;              ///< newest ACK reaches the sender
     };
 
-    /** One not-yet-delivered fast-path transmission. */
-    struct PendingArrival
-    {
-        Tick at;          ///< arrival tick (monotone in push order)
-        std::size_t lane; ///< lane index
-        PacketHandle h;   ///< in-flight packet
-    };
-
+    /** Start the next transmission if the wire and a lane allow it:
+     *  pump() is the listener entry point, transmit() the send. */
     void pump();
-    void pumpReliable();
+    void transmit();
 
-    /** The single armed fast-path event: processes every wire-free and
-     *  arrival due now, pumps, and re-arms at the next pending tick. */
+    /** Does lane @p li have something to put on the wire? */
+    bool hasWork(std::size_t li) const;
+
+    /** The single armed event: processes everything due now, pumps,
+     *  and re-arms. */
     void onBatchTick();
 
-    /** Arm (or keep) the batch event at the earliest pending tick. */
+    /** Arm (or keep) the batch event at the earliest due tick. */
     void rearm();
 
     /** Ensure the batch event fires no later than @p t. */
     void armAt(Tick t);
 
-    /** Arrival processing at the downstream end of lane @p li. */
-    void deliver(std::size_t li, Packet &&wire, bool dup_follows);
+    /** Arrival @p a at the downstream end of its lane. */
+    void land(const PendingArrival &a);
 
-    /** Cumulative ACK up to @p lseq reached the sender of lane @p li. */
-    void onAck(std::size_t li, std::uint64_t lseq);
+    /** Apply every ACK/NACK that reached the sender before @p until. */
+    void drainControl(Tick until);
 
-    /** NACK reached the sender of lane @p li: go back to the oldest. */
-    void onNack(std::size_t li);
+    /** Retransmit timeout of @p ls with its backoff; FaultSpec::validate
+     *  keeps retryTimeout << backoffCap within a Tick. */
+    Tick
+    timeout(const LaneState &ls) const
+    {
+        return _inj.spec().retryTimeout
+               << std::min(ls.backoff, _inj.spec().backoffCap);
+    }
 
-    void armTimer(std::size_t li);
-    void cancelTimer(std::size_t li);
+    /** Administrative outage: fail over past the deadline, else note
+     *  when to look again.  True while the wire must stay idle. */
+    bool linkDown();
 
-    /** Permanently fail the entry at position @p pos of lane @p li. */
-    void failEntry(std::size_t li, std::size_t pos);
+    /** Count @p pkt as failed (for reason @p why) and hand it to the
+     *  failure handler, deferred. */
+    void fail(Packet &&pkt, const char *why);
 
     /** Fail every queued and unacknowledged packet (outage past the
      *  deadline): the failover path. */
@@ -214,12 +248,9 @@ class Channel : public SimObject
     Tick _delay;
     bool _busy = false;
 
-    // Fast-path batching state: pending arrivals (ring with head index,
-    // compacted when drained — zero allocation once warm), the tick the
-    // wire frees, and the tick the single batch event is armed for
-    // (kMaxTick = not armed).
-    std::vector<PendingArrival> _pending;
-    std::size_t _pendingHead = 0;
+    // Batching state: pending arrivals, the tick the wire frees, and the
+    // tick the single batch event is armed for (kMaxTick = not armed).
+    Fifo<PendingArrival> _pending;
     Tick _wireFreeAt = kMaxTick;
     Tick _armedFor = kMaxTick;
     std::uint64_t _packets = 0;
@@ -230,8 +261,10 @@ class Channel : public SimObject
     bool _reliable = false;
     FaultInjector _inj;
     std::vector<LaneState> _ls;
+    Fifo<Control> _ctrl;
+    std::size_t _pendingNacks = 0; ///< NACKs in _ctrl
+    Tick _downWakeAt = kMaxTick;   ///< re-check an outage at this tick
     FailureHandler _failHandler;
-    bool _downWakeArmed = false;
 
     Scalar _crcErrors;
     Scalar _retransmissions;

@@ -52,6 +52,13 @@ FaultSpec::validate() const
         fatal("fault.windowPackets must be >= 1");
     if (retryTimeout == 0)
         fatal("fault.retryTimeout must be positive");
+    // The longest backed-off timeout, retryTimeout << backoffCap, must be
+    // a Tick: a shift of 64 or more is undefined, and a wider product
+    // wraps.
+    if (backoffCap >= 64 || retryTimeout > (kMaxTick >> backoffCap))
+        fatal("fault.retryTimeout << fault.backoffCap overflows a tick "
+              "(retryTimeout %llu, backoffCap %u)",
+              (unsigned long long)retryTimeout, backoffCap);
     if (linkDownDeadline == 0)
         fatal("fault.linkDownDeadline must be positive");
 }

@@ -329,6 +329,92 @@ TEST_F(FaultChannelTest, RetryBudgetExhaustionFailsPacket)
     EXPECT_EQ(down.size(), 0u);
 }
 
+TEST_F(FaultChannelTest, FullWindowIsReleasedByReturningAcks)
+{
+    // Two packets fill the window: every later transmission waits on an
+    // ACK coming back, including the ones that re-ack a retransmission.
+    FaultSpec f;
+    f.dropRate = 0.25;
+    f.windowPackets = 2;
+    System sys(cfg(f));
+    BoundedQueue up(sys.arena(), 32), down(sys.arena(), 64);
+    Channel ch(sys, "ch", up, down, 1.0, 10);
+
+    for (Word i = 0; i < 20; ++i)
+        up.push(mkPkt(i));
+    sys.events().run();
+
+    ASSERT_EQ(down.size(), 20u);
+    for (Word i = 0; i < 20; ++i)
+        EXPECT_EQ(down.pop().value, i);
+    EXPECT_GT(ch.retransmissions(), 0u);
+    EXPECT_EQ(ch.wireFailures(), 0u);
+}
+
+TEST_F(FaultChannelTest, FailoverWithTransmissionOnWireConservesPackets)
+{
+    // Serialization takes 1 tick and propagation 1000, so packets stay
+    // on the wire (and their ACKs on the way back) long after they were
+    // sent.  The link goes down at 1400 with a 10-tick deadline.
+    FaultSpec f;
+    f.downWindows = {{1400, 1'000'000, ""}};
+    f.linkDownDeadline = 10;
+    System sys(cfg(f));
+    BoundedQueue up(sys.arena(), 8), down(sys.arena(), 8);
+    Channel ch(sys, "ch", up, down, 1000.0, 1000);
+    std::vector<Packet> failed;
+    ch.setFailureHandler([&](Packet &&p) { failed.push_back(std::move(p)); });
+    const std::size_t live0 = sys.arena().live();
+
+    // Packets 0-2 land at about 1001 but are unacknowledged until about
+    // 2001.  Packet 3 leaves at 1390 and is still on the wire when
+    // packet 4, queued at 1500, finds the link down past its deadline.
+    for (Word i = 0; i < 3; ++i)
+        up.push(mkPkt(i));
+    sys.events().runUntil(1390);
+    up.push(mkPkt(3));
+    sys.events().runUntil(1500);
+    up.push(mkPkt(4));
+    sys.events().runUntil(10'000);
+
+    // Each packet was delivered or failed, never both.
+    std::vector<Word> delivered;
+    while (!down.empty())
+        delivered.push_back(down.pop().value);
+    EXPECT_EQ(delivered, (std::vector<Word>{0, 1, 2}));
+    ASSERT_EQ(failed.size(), 2u);
+    EXPECT_EQ(failed[0].value, 3u);
+    EXPECT_EQ(failed[1].value, 4u);
+    EXPECT_EQ(delivered.size() + failed.size(), 5u);
+    EXPECT_EQ(ch.wireFailures(), 2u);
+    // The copy of packet 3 on the wire owned its own slot, and released
+    // it when it landed.
+    failed.clear();
+    EXPECT_EQ(sys.arena().live(), live0);
+}
+
+TEST_F(FaultChannelTest, DuplicateOnSameTickAsNextArrivalIsDiscarded)
+{
+    // One-tick serialization: each duplicate lands one tick behind its
+    // original, on the very tick the next packet's original lands.
+    FaultSpec f;
+    f.duplicateRate = 1.0;
+    System sys(cfg(f));
+    BoundedQueue up(sys.arena(), 32), down(sys.arena(), 64);
+    Channel ch(sys, "ch", up, down, 1000.0, 10);
+
+    for (Word i = 0; i < 10; ++i)
+        up.push(mkPkt(i));
+    sys.events().run();
+
+    ASSERT_EQ(down.size(), 10u);
+    for (Word i = 0; i < 10; ++i)
+        EXPECT_EQ(down.pop().value, i);
+    EXPECT_EQ(ch.duplicateDiscards(), 10u);
+    EXPECT_EQ(ch.retransmissions(), 0u);
+    EXPECT_EQ(ch.wireFailures(), 0u);
+}
+
 TEST_F(FaultChannelTest, StatsAreDeterministic)
 {
     FaultSpec f;
@@ -463,6 +549,23 @@ TEST(FaultSpecValidate, RejectsBadRates)
     FaultSpec f;
     f.dropRate = 1.5;
     EXPECT_DEATH(f.validate(), "probability");
+}
+
+TEST(FaultSpecValidate, RejectsBackoffThatOverflowsATick)
+{
+    FaultSpec shift;
+    shift.backoffCap = 64; // a shift by the width is undefined
+    EXPECT_DEATH(shift.validate(), "backoffCap");
+
+    FaultSpec wide;
+    wide.retryTimeout = Tick(1) << 60;
+    wide.backoffCap = 6; // 2^66 does not fit
+    EXPECT_DEATH(wide.validate(), "overflows");
+
+    FaultSpec edge;
+    edge.retryTimeout = Tick(1) << 57;
+    edge.backoffCap = 6; // 2^63 fits
+    edge.validate();     // must not die
 }
 
 } // namespace

@@ -19,6 +19,7 @@
 #include <cstdlib>
 #include <new>
 
+#include "net/link.hpp"
 #include "net/network.hpp"
 #include "sim/system.hpp"
 
@@ -120,8 +121,8 @@ class CountingEndpoint : public NodeEndpoint
 
 struct Harness
 {
-    explicit Harness(const TopologySpec &spec)
-        : sys(Config{}), net(sys, "net", spec)
+    explicit Harness(const TopologySpec &spec, const Config &cfg = {})
+        : sys(cfg), net(sys, "net", spec)
     {
         for (std::size_t n = 0; n < spec.nodes; ++n) {
             eps.push_back(std::make_unique<CountingEndpoint>(sys.arena()));
@@ -152,6 +153,18 @@ struct Harness
     Network net;
     std::vector<std::unique_ptr<CountingEndpoint>> eps;
 };
+
+/** Give every event-wheel bucket room for 16 events, so a measurement
+ *  whose events land on buckets no earlier phase touched does not count
+ *  the engine's own warm-up. */
+void
+warmWheel(System &sys)
+{
+    for (Tick t = 1; t <= EventQueue::kWheelTicks; ++t)
+        for (int k = 0; k < 16; ++k)
+            sys.events().schedule(t, [] {});
+    sys.events().run();
+}
 
 TopologySpec
 ringSpec(std::size_t nodes)
@@ -188,6 +201,83 @@ TEST(PacketAllocTest, SteadyStateWaveDoesNotAllocate)
     for (auto &ep : h.eps)
         EXPECT_EQ(ep->received, 3 * kBurst);
     EXPECT_EQ(h.sys.arena().live(), 0u);
+}
+
+TEST(PacketAllocTest, FaultedWaveDoesNotAllocate)
+{
+    // The reliable link path: every hop stamps a sequence number and a
+    // CRC, keeps a retransmit copy, and its transfers are corrupted,
+    // dropped and duplicated.  The retry budget is never exhausted.
+    Config cfg;
+    cfg.fault.bitErrorRate = 1e-2;
+    cfg.fault.dropRate = 1e-2;
+    cfg.fault.duplicateRate = 1e-2;
+    Harness h(ringSpec(8), cfg);
+    constexpr std::size_t kBurst = 24;
+
+    // Faults differ from wave to wave, and retransmissions and timeouts
+    // spread a wave's events over the wheel: warm-up sizes every wheel
+    // bucket up front, then runs waves until the channels' arrival,
+    // control and retransmit rings have met their largest backlog.
+    warmWheel(h.sys);
+    constexpr int kWarmWaves = 16;
+    for (int i = 0; i < kWarmWaves; ++i)
+        h.wave(kBurst);
+    const std::uint64_t chunks0 = h.sys.arena().chunkAllocs();
+    const std::uint64_t before = allocCount();
+    h.wave(kBurst);
+    const std::uint64_t after = allocCount();
+
+    EXPECT_EQ(after, before) << "faulted packet wave hit the heap";
+    EXPECT_EQ(h.sys.arena().chunkAllocs(), chunks0)
+        << "arena grew after warm-up";
+    for (auto &ep : h.eps)
+        EXPECT_EQ(ep->received, (kWarmWaves + 1) * kBurst);
+    EXPECT_GT(h.net.retransmissions(), 0u);
+    EXPECT_GT(h.net.corruptions(), 0u);
+    EXPECT_GT(h.net.duplicateDiscards(), 0u);
+    EXPECT_EQ(h.net.wireFailures(), 0u);
+    // arena().live() need not be 0 here: a retransmit copy whose ACK
+    // has landed is released when its link next runs (DESIGN.md §14.2).
+}
+
+TEST(PacketAllocTest, SustainedStreamKeepsChannelRingsBounded)
+{
+    // A link that never goes idle always has an arrival in flight, so
+    // its pending-arrival ring never drains: it must still recycle its
+    // storage instead of growing by one entry per packet.
+    System sys{Config{}};
+    BoundedQueue up(sys.arena(), 8), down(sys.arena(), 8);
+    Channel ch(sys, "ch", up, down, 1.0, 100);
+    std::uint64_t sent = 0, limit = 0, got = 0;
+    up.onSpace([&] {
+        while (!up.full() && sent < limit) {
+            Packet p;
+            p.value = sent++;
+            up.push(std::move(p));
+        }
+    });
+    down.onData([&] {
+        while (!down.empty()) {
+            (void)down.pop();
+            ++got;
+        }
+    });
+    auto stream = [&](std::uint64_t n) {
+        limit += n;
+        Packet p;
+        p.value = sent++;
+        up.push(std::move(p));
+        sys.events().run();
+    };
+
+    warmWheel(sys);
+    stream(2'000);
+    const std::uint64_t before = allocCount();
+    stream(50'000);
+    EXPECT_EQ(allocCount(), before) << "a busy link's rings grew";
+    EXPECT_EQ(got, sent);
+    EXPECT_EQ(sys.arena().live(), 0u);
 }
 
 TEST(PacketAllocTest, ArenaRecyclesSlotsLifo)
